@@ -19,6 +19,42 @@ ROOT="$PWD"
 stage_build() {
     echo "==> cargo build --workspace --release --offline"
     cargo build --workspace --release --offline
+    # The benchmark package (BENCHMARK.json) is its own workspace over the
+    # crates' public API; building it here makes an API change that breaks
+    # it fail CI.
+    echo "==> cargo build --release --offline --manifest-path flepbench/Cargo.toml"
+    CARGO_TARGET_DIR="$ROOT/.bench_build" \
+        cargo build --release --offline --manifest-path flepbench/Cargo.toml
+}
+
+# Thread-count gate for a flep-bench sweep binary: runs BIN once at
+# FLEP_THREADS=1 (T1_REPEATS repeats, writing the FLEP_BENCH_JSON artifact
+# $ROOT/ARTIFACT unless ARTIFACT is empty) and once at FLEP_THREADS=8 (one
+# repeat), both with FLEP_SEED=42, FLEP_JSON=- and any extra VAR=value
+# settings, and fails unless their JSON rows are byte-identical.
+#
+# Usage: rows_match_across_threads LABEL BIN T1_REPEATS ARTIFACT [VAR=value...]
+rows_match_across_threads() {
+    label=$1 bin=$2 t1_repeats=$3 artifact=$4
+    shift 4
+    rows="$ROOT/target/${bin}_rows"
+    if [ -n "$artifact" ]; then
+        set -- "FLEP_BENCH_JSON=$ROOT/$artifact" "$@"
+    fi
+    env FLEP_SEED=42 FLEP_REPEATS="$t1_repeats" "$@" FLEP_JSON=- FLEP_THREADS=1 \
+        cargo run --release -p flep-bench --bin "$bin" --offline -q \
+        | grep '^{' > "${rows}_t1.json"
+    if [ -n "$artifact" ]; then
+        shift
+    fi
+    env FLEP_SEED=42 FLEP_REPEATS=1 "$@" FLEP_JSON=- FLEP_THREADS=8 \
+        cargo run --release -p flep-bench --bin "$bin" --offline -q \
+        | grep '^{' > "${rows}_t8.json"
+    if ! cmp -s "${rows}_t1.json" "${rows}_t8.json"; then
+        echo "$label: sweep rows differ between FLEP_THREADS=1 and 8" >&2
+        exit 1
+    fi
+    echo "$label: sweep rows byte-identical at FLEP_THREADS=1 and 8"
 }
 
 stage_test() {
@@ -111,19 +147,7 @@ stage_cluster_smoke() {
     echo "==> cluster smoke: failover suites + sweep -> BENCH_cluster.json"
     cargo test -p flep-runtime --test cluster --offline -q
     cargo test -p flep-serve --test failover --offline -q
-    FLEP_SEED=42 FLEP_REPEATS=3 \
-        FLEP_BENCH_JSON="$ROOT/BENCH_cluster.json" FLEP_JSON=- \
-        FLEP_THREADS=1 \
-        cargo run --release -p flep-bench --bin cluster_failover --offline -q \
-        | grep '^{' > "$ROOT/target/cluster_rows_t1.json"
-    FLEP_SEED=42 FLEP_REPEATS=1 FLEP_JSON=- FLEP_THREADS=8 \
-        cargo run --release -p flep-bench --bin cluster_failover --offline -q \
-        | grep '^{' > "$ROOT/target/cluster_rows_t8.json"
-    if ! cmp -s "$ROOT/target/cluster_rows_t1.json" "$ROOT/target/cluster_rows_t8.json"; then
-        echo "cluster smoke: sweep rows differ between FLEP_THREADS=1 and 8" >&2
-        exit 1
-    fi
-    echo "cluster smoke: sweep rows byte-identical at FLEP_THREADS=1 and 8"
+    rows_match_across_threads "cluster smoke" cluster_failover 3 BENCH_cluster.json
 }
 
 # Cluster scale-out (DESIGN.md §13): the partitioned-scheduler headline.
@@ -139,19 +163,7 @@ stage_cluster_scale() {
     FLEP_SEED=42 FLEP_REPEATS=3 FLEP_THREADS=1 \
         FLEP_BENCH_JSON="$ROOT/BENCH_cluster_scale.json" \
         cargo run --release -p flep-bench --bin cluster_scale --offline -q
-    FLEP_SEED=42 FLEP_REPEATS=1 FLEP_SCALE_DEVICES=8,64 FLEP_JSON=- \
-        FLEP_THREADS=1 \
-        cargo run --release -p flep-bench --bin cluster_scale --offline -q \
-        | grep '^{' > "$ROOT/target/scale_rows_t1.json"
-    FLEP_SEED=42 FLEP_REPEATS=1 FLEP_SCALE_DEVICES=8,64 FLEP_JSON=- \
-        FLEP_THREADS=8 \
-        cargo run --release -p flep-bench --bin cluster_scale --offline -q \
-        | grep '^{' > "$ROOT/target/scale_rows_t8.json"
-    if ! cmp -s "$ROOT/target/scale_rows_t1.json" "$ROOT/target/scale_rows_t8.json"; then
-        echo "cluster scale: sweep rows differ between FLEP_THREADS=1 and 8" >&2
-        exit 1
-    fi
-    echo "cluster scale: sweep rows byte-identical at FLEP_THREADS=1 and 8"
+    rows_match_across_threads "cluster scale" cluster_scale 1 "" FLEP_SCALE_DEVICES=8,64
 }
 
 # Chaos smoke (DESIGN.md §14): the health-aware control plane under
@@ -167,19 +179,7 @@ stage_chaos_smoke() {
     cargo test -p flep-runtime --test breaker --offline -q
     cargo test -p flep-serve --test brownout --offline -q
     echo "==> chaos sweep -> BENCH_chaos.json"
-    FLEP_SEED=42 FLEP_REPEATS=3 \
-        FLEP_BENCH_JSON="$ROOT/BENCH_chaos.json" FLEP_JSON=- \
-        FLEP_THREADS=1 \
-        cargo run --release -p flep-bench --bin chaos_sweep --offline -q \
-        | grep '^{' > "$ROOT/target/chaos_rows_t1.json"
-    FLEP_SEED=42 FLEP_REPEATS=1 FLEP_JSON=- FLEP_THREADS=8 \
-        cargo run --release -p flep-bench --bin chaos_sweep --offline -q \
-        | grep '^{' > "$ROOT/target/chaos_rows_t8.json"
-    if ! cmp -s "$ROOT/target/chaos_rows_t1.json" "$ROOT/target/chaos_rows_t8.json"; then
-        echo "chaos smoke: sweep rows differ between FLEP_THREADS=1 and 8" >&2
-        exit 1
-    fi
-    echo "chaos smoke: sweep rows byte-identical at FLEP_THREADS=1 and 8"
+    rows_match_across_threads "chaos smoke" chaos_sweep 3 BENCH_chaos.json
 }
 
 # Queue ablation (DESIGN.md §12): the tier-1 golden suites replayed with

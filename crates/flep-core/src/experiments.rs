@@ -13,7 +13,7 @@
 
 use flep_gpu_sim::GpuConfig;
 use flep_metrics::{antt, Turnaround};
-use flep_runtime::{CoRun, CoRunResult, JobSpec, KernelProfile, Policy};
+use flep_runtime::{ClusterResult, CoRun, JobSpec, KernelProfile, Policy};
 use flep_sim_core::{SimRng, SimTime};
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 
@@ -903,9 +903,9 @@ pub fn fig17_overhead(config: &GpuConfig) -> Vec<OverheadRow> {
     })
 }
 
-/// Convenience: a [`CoRunResult`] makespan (latest completion).
+/// Convenience: a run's makespan (latest completion).
 #[must_use]
-pub fn makespan(result: &CoRunResult) -> SimTime {
+pub fn makespan(result: &ClusterResult) -> SimTime {
     result
         .jobs
         .iter()
@@ -1187,7 +1187,7 @@ pub fn fault_recovery(
         }
         corun.run()
     };
-    let turnaround = |r: &CoRunResult| {
+    let turnaround = |r: &ClusterResult| {
         r.jobs[1]
             .turnaround()
             .expect("fault-recovery co-run: the high-priority job must complete")
@@ -1485,16 +1485,9 @@ mod tests {
 
     #[test]
     fn makespan_of_empty_result_is_zero() {
-        let r = flep_runtime::CoRunResult {
-            jobs: vec![],
-            busy_spans: vec![],
-            busy_totals: vec![],
+        let r = ClusterResult {
             end_time: SimTime::from_us(5),
-            swap_stats: None,
-            errors: vec![],
-            recoveries: vec![],
-            faults: vec![],
-            escalations: [0; 3],
+            ..ClusterResult::default()
         };
         assert_eq!(makespan(&r), SimTime::ZERO);
     }

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use flep_metrics::{antt, stp, Turnaround};
     pub use flep_minicu::{analyze, parse, Program};
     pub use flep_perfmodel::{KernelFeatures, RidgeModel};
-    pub use flep_runtime::{CoRun, CoRunResult, JobRecord, JobSpec, KernelProfile, Policy};
+    pub use flep_runtime::{ClusterResult, CoRun, JobRecord, JobSpec, KernelProfile, Policy};
     pub use flep_sim_core::{SimRng, SimTime};
     pub use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 

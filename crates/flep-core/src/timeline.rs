@@ -2,7 +2,7 @@
 //! when it waited and when its CTAs actually occupied the GPU — the
 //! quickest way to *see* a preemption schedule.
 
-use flep_runtime::CoRunResult;
+use flep_runtime::ClusterResult;
 use flep_sim_core::SimTime;
 
 /// Cell glyphs by GPU-busy fraction within the cell's time window.
@@ -35,7 +35,7 @@ const WAITING: char = '·';
 /// assert!(art.contains('█'));
 /// ```
 #[must_use]
-pub fn render_timeline(result: &CoRunResult, width: usize) -> String {
+pub fn render_timeline(result: &ClusterResult, width: usize) -> String {
     let width = width.max(10);
     let end = result.end_time.max(SimTime::from_ns(1));
     let cell_ns = (end.as_ns() as f64 / width as f64).max(1.0);
@@ -103,7 +103,7 @@ mod tests {
         pub use flep_workloads::{Benchmark, BenchmarkId, InputClass};
     }
 
-    fn demo_result() -> CoRunResult {
+    fn demo_result() -> ClusterResult {
         let lo = KernelProfile::of(&Benchmark::get(BenchmarkId::Pf), InputClass::Large);
         let hi = KernelProfile::of(&Benchmark::get(BenchmarkId::Mm), InputClass::Small);
         CoRun::new(GpuConfig::k40(), Policy::hpf())

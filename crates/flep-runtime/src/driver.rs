@@ -1,9 +1,7 @@
 //! The experiment driver: describe a co-run, execute it, read results.
 
-use flep_gpu_sim::{
-    FaultConfig, FaultEvent, FaultPlan, GpuConfig, GpuDevice, SwapManager, SwapStats,
-};
-use flep_sim_core::{RunOutcome, SimTime, Simulation, Span};
+use flep_gpu_sim::{FaultConfig, FaultPlan, GpuConfig, GpuDevice, SwapManager};
+use flep_sim_core::{SimTime, Simulation};
 
 /// Default event budget for a co-run: far above any legitimate experiment
 /// (the heaviest FFS horizon runs dispatch a few million events), so the
@@ -11,8 +9,9 @@ use flep_sim_core::{RunOutcome, SimTime, Simulation, Span};
 /// with diagnostics instead of hanging the harness.
 pub const DEFAULT_EVENT_BUDGET: u64 = 1_000_000_000;
 
-use crate::job::{JobRecord, JobSpec};
-use crate::world::{Policy, RecoveryEvent, RuntimeError, SystemEvent, SystemWorld, WatchdogConfig};
+use crate::cluster::{finish_run, ClusterResult};
+use crate::job::JobSpec;
+use crate::world::{Policy, SystemEvent, SystemWorld, WatchdogConfig};
 
 /// A complete co-run description.
 ///
@@ -87,17 +86,19 @@ impl CoRun {
     }
 
     /// Overrides the event budget (default [`DEFAULT_EVENT_BUDGET`]);
-    /// exhaustion surfaces as [`RuntimeError::EventBudgetExhausted`] in
-    /// the result rather than a panic.
+    /// exhaustion surfaces as
+    /// [`RuntimeError::EventBudgetExhausted`](crate::RuntimeError::EventBudgetExhausted)
+    /// in the result rather than a panic.
     #[must_use]
     pub fn with_event_budget(mut self, budget: u64) -> Self {
         self.budget = budget;
         self
     }
 
-    /// Records every CTA-residency interval as a [`Span`] in the result.
+    /// Records every CTA-residency interval as a
+    /// [`Span`](flep_sim_core::Span) in the result.
     /// Off by default so long runs (FFS horizons) don't grow an unbounded
-    /// span list; required for [`CoRunResult::gpu_share`] and timeline
+    /// span list; required for [`ClusterResult::gpu_share`] and timeline
     /// rendering. Per-owner busy totals are collected either way.
     #[must_use]
     pub fn with_span_trace(mut self) -> Self {
@@ -133,10 +134,18 @@ impl CoRun {
     ///
     /// Failures that used to panic — device-rejected launches, working
     /// sets that cannot fit, an exhausted event budget — are reported as
-    /// [`CoRunResult::errors`]; watchdog interventions as
-    /// [`CoRunResult::recoveries`].
+    /// [`ClusterResult::errors`]; watchdog interventions as
+    /// [`ClusterResult::recoveries`].
+    ///
+    /// The run keeps its own single-world loop rather than stepping a
+    /// one-device [`GpuCluster`](crate::GpuCluster): every job is
+    /// registered with the world up front, and FFS's epoch arithmetic
+    /// sums weights and overhead estimates over every registered job,
+    /// including jobs that have not arrived yet. A cluster registers a job
+    /// on its shard only when the job arrives.
     #[must_use]
-    pub fn run(self) -> CoRunResult {
+    pub fn run(self) -> ClusterResult {
+        let jobs = self.jobs.len();
         let arrivals: Vec<SimTime> = self.jobs.iter().map(|j| j.arrival).collect();
         let mut device = GpuDevice::new(self.config);
         device.set_span_collection(self.span_trace);
@@ -162,107 +171,13 @@ impl CoRun {
         if let Some(wd) = watchdog {
             sim.schedule_at(wd.poll_interval, SystemEvent::Watchdog);
         }
-        let mut budget_error = None;
-        let end_time = match sim.run_with_budget(self.budget) {
-            RunOutcome::Completed(t) => t,
-            RunOutcome::BudgetExhausted {
-                now,
-                dispatched,
-                pending,
-            } => {
-                budget_error = Some(RuntimeError::EventBudgetExhausted {
-                    at: now,
-                    dispatched,
-                    pending,
-                });
-                now
-            }
-        };
-        let swap_stats = sim.world().swap_stats();
-        let (jobs, busy_spans, busy_totals, mut report) = sim.into_world().into_records();
-        if let Some(e) = budget_error {
-            report.errors.push(e);
-        }
-        CoRunResult {
-            jobs,
-            busy_spans,
-            busy_totals,
-            end_time,
-            swap_stats,
-            errors: report.errors,
-            recoveries: report.recoveries,
-            faults: report.faults,
-            escalations: report.escalations,
-        }
+        let outcome = sim.run_with_budget(self.budget);
+        finish_run(outcome, |end| {
+            ClusterResult::of_world(sim.into_world(), jobs, end)
+        })
     }
 }
 
-/// Results of a co-run.
-#[derive(Debug, Clone)]
-pub struct CoRunResult {
-    /// Per-job records, in submission order.
-    pub jobs: Vec<JobRecord>,
-    /// CTA-residency spans (owner = job index) for GPU-share accounting.
-    /// Empty unless the co-run opted in via [`CoRun::with_span_trace`].
-    pub busy_spans: Vec<Span>,
-    /// Total busy GPU time per job index, collected on every run.
-    pub busy_totals: Vec<(u64, SimTime)>,
-    /// When the last event fired.
-    pub end_time: SimTime,
-    /// Swap statistics, when oversubscription was enabled.
-    pub swap_stats: Option<SwapStats>,
-    /// Structured runtime failures (formerly panics), in occurrence order.
-    pub errors: Vec<RuntimeError>,
-    /// Watchdog recovery actions, in occurrence order.
-    pub recoveries: Vec<RecoveryEvent>,
-    /// Faults the device's injection plan fired (empty without
-    /// [`CoRun::with_faults`]).
-    pub faults: Vec<FaultEvent>,
-    /// Preemption-drain outcomes by the escalation level they needed:
-    /// `[flag, forced drain, kill]`.
-    pub escalations: [u64; 3],
-}
-
-impl CoRunResult {
-    /// Job `idx`'s share of all busy GPU time within `[from, to)`.
-    /// Requires [`CoRun::with_span_trace`]; returns 0 otherwise.
-    #[must_use]
-    pub fn gpu_share(&self, idx: usize, from: SimTime, to: SimTime) -> f64 {
-        let total: SimTime = self.busy_spans.iter().map(|s| s.clipped(from, to)).sum();
-        let own: SimTime = self
-            .busy_spans
-            .iter()
-            .filter(|s| s.owner == idx as u64)
-            .map(|s| s.clipped(from, to))
-            .sum();
-        own.ratio(total)
-    }
-
-    /// The structured recovery tally of this run — the shared
-    /// [`RecoverySummary`](flep_metrics::RecoverySummary) counters folded
-    /// from [`CoRunResult::recoveries`], replacing per-test ad-hoc
-    /// counting.
-    #[must_use]
-    pub fn recovery_summary(&self) -> flep_metrics::RecoverySummary {
-        crate::cluster::summarize_recoveries(&self.recoveries)
-    }
-
-    /// True when the run finished without structured errors (individual
-    /// jobs may still have been recovered by the watchdog — see
-    /// [`CoRunResult::recoveries`]).
-    #[must_use]
-    pub fn succeeded(&self) -> bool {
-        self.errors.is_empty()
-    }
-
-    /// Total busy GPU time attributed to job `idx` over the whole run.
-    /// Backed by the always-on per-owner totals, so it works without span
-    /// tracing.
-    #[must_use]
-    pub fn busy_time(&self, idx: usize) -> SimTime {
-        self.busy_totals
-            .iter()
-            .find(|(owner, _)| *owner == idx as u64)
-            .map_or(SimTime::ZERO, |&(_, total)| total)
-    }
-}
+/// The result of a [`CoRun`]: the same type a [`ClusterRun`](crate::ClusterRun)
+/// returns, its single device folded with the identity job map.
+pub type CoRunResult = ClusterResult;

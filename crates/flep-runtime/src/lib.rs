@@ -15,11 +15,12 @@
 //! * [`Policy::MpsBaseline`] / [`Policy::Reordering`] — the two
 //!   non-preemptive baselines the evaluation compares against.
 //!
-//! Experiments are described with [`CoRun`] and return [`CoRunResult`]
-//! records; the world itself ([`SystemWorld`]) is public for tests that
-//! need event-level control. [`GpuCluster`] shards the runtime across N
-//! simulated devices with per-device failure domains and
-//! kill-migrate-restart recovery; [`ClusterRun`] is its driver.
+//! Experiments are described with [`CoRun`] and return a
+//! [`ClusterResult`] (aliased [`CoRunResult`]); the world itself
+//! ([`SystemWorld`]) is public for tests that need event-level control.
+//! [`GpuCluster`] shards the runtime across N simulated devices with
+//! per-device failure domains and kill-migrate-restart recovery;
+//! [`ClusterRun`] is its driver and returns the same result type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,8 +33,8 @@ mod poll;
 mod world;
 
 pub use cluster::{
-    parse_cluster_mode, ClusterConfig, ClusterEvent, ClusterResult, ClusterRun, DeviceEvent,
-    DeviceEventKind, DeviceState, GpuCluster, PlacementConfig, StepMode,
+    ClusterConfig, ClusterEvent, ClusterResult, ClusterRun, DeviceEvent, DeviceEventKind,
+    DeviceState, GpuCluster, PlacementConfig, StepMode,
 };
 pub use driver::{CoRun, CoRunResult, DEFAULT_EVENT_BUDGET};
 pub use health::{BreakerState, DeviceHealth, HealthConfig};

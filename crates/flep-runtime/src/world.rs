@@ -53,7 +53,7 @@ impl Default for WatchdogConfig {
 }
 
 /// Structured runtime failures, surfaced through
-/// [`crate::CoRunResult::errors`] instead of panics on the hot path.
+/// [`crate::ClusterResult::errors`] instead of panics on the hot path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {
     /// The device permanently rejected a job's launch (invalid shape for

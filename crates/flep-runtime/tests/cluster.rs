@@ -44,12 +44,20 @@ fn total_tasks(r: &ClusterResult) -> u64 {
     r.jobs.iter().map(|j| j.tasks_completed).sum()
 }
 
+/// Whole-result comparison: the `Debug` rendering covers every field.
+fn render(r: &ClusterResult) -> String {
+    format!("{r:?}")
+}
+
 // -- Satellite: N=1 faults-off equivalence --------------------------------
 
-/// A one-device, fault-free cluster is byte-identical to driving the
-/// runtime directly: same records, same end time, same escalation
-/// histogram. This is what lets every single-device golden stand
-/// unchanged while the cluster layer exists above it.
+/// A one-device, fault-free HPF cluster is byte-identical to driving the
+/// runtime directly through `CoRun`: the whole result, records, end time,
+/// escalations, busy totals and ledger alike. The equivalence is not
+/// general: FFS sizes its epochs over every *registered* job, `CoRun`
+/// registers all jobs up front, and a cluster registers a job on its
+/// shard only when it arrives — so FFS runs with staggered arrivals
+/// diverge, and `CoRun` keeps its own run loop.
 #[test]
 fn single_device_cluster_matches_corun_exactly() {
     let mut corun = CoRun::new(GpuConfig::k40(), Policy::hpf());
@@ -58,17 +66,16 @@ fn single_device_cluster_matches_corun_exactly() {
     }
     let solo = corun.run();
     let clustered = cluster_of(1, pair_specs()).run();
-    assert_eq!(solo.jobs, clustered.jobs);
-    assert_eq!(solo.end_time, clustered.end_time);
-    assert_eq!(solo.escalations, clustered.escalations);
+    assert_eq!(render(&solo), render(&clustered));
     assert!(clustered.succeeded());
     assert_eq!(clustered.migrations, 0);
     assert!(clustered.device_events.is_empty());
     assert!(clustered.reconciles());
 }
 
-/// Same equivalence with the watchdog armed on both sides: the cluster
-/// schedules the shard's first tick exactly as `CoRun::run` does.
+/// Same whole-result equivalence with the watchdog armed on both sides:
+/// the cluster schedules the shard's first tick exactly as `CoRun::run`
+/// does.
 #[test]
 fn single_device_cluster_matches_corun_with_watchdog() {
     let mut corun =
@@ -84,13 +91,11 @@ fn single_device_cluster_matches_corun_with_watchdog() {
         run = run.job(s);
     }
     let clustered = run.run();
-    assert_eq!(solo.jobs, clustered.jobs);
-    assert_eq!(solo.end_time, clustered.end_time);
-    assert_eq!(solo.escalations, clustered.escalations);
+    assert_eq!(render(&solo), render(&clustered));
 }
 
-/// The spatial-HPF policy variant holds too (different preemption paths
-/// exercise different shard event shapes).
+/// The spatial-HPF policy variant holds too, whole result included
+/// (different preemption paths exercise different shard event shapes).
 #[test]
 fn single_device_equivalence_spatial() {
     let mut corun = CoRun::new(GpuConfig::k40(), Policy::hpf_spatial());
@@ -107,8 +112,7 @@ fn single_device_equivalence_spatial() {
         run = run.job(s);
     }
     let clustered = run.run();
-    assert_eq!(solo.jobs, clustered.jobs);
-    assert_eq!(solo.end_time, clustered.end_time);
+    assert_eq!(render(&solo), render(&clustered));
 }
 
 // -- Placement ------------------------------------------------------------

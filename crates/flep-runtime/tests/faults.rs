@@ -6,7 +6,7 @@
 
 use flep_gpu_sim::{FaultConfig, GpuConfig};
 use flep_runtime::{
-    CoRun, CoRunResult, JobSpec, KernelProfile, Policy, RecoveryAction, RuntimeError,
+    ClusterResult, CoRun, JobSpec, KernelProfile, Policy, RecoveryAction, RuntimeError,
     WatchdogConfig,
 };
 use flep_sim_core::check::{check, CheckConfig};
@@ -17,13 +17,13 @@ fn profile(id: BenchmarkId, class: InputClass) -> KernelProfile {
     KernelProfile::of(&Benchmark::get(id), class)
 }
 
-fn all_complete(r: &CoRunResult) -> bool {
+fn all_complete(r: &ClusterResult) -> bool {
     r.jobs.iter().all(|j| j.completed.is_some())
 }
 
 /// A low-priority long-running victim plus a high-priority latecomer:
 /// the canonical preemption pair the ladder has to rescue.
-fn victim_pair(faults: FaultConfig) -> CoRunResult {
+fn victim_pair(faults: FaultConfig) -> ClusterResult {
     CoRun::new(GpuConfig::k40(), Policy::hpf())
         .job(
             JobSpec::new(profile(BenchmarkId::Va, InputClass::Large), SimTime::ZERO)
@@ -40,7 +40,7 @@ fn victim_pair(faults: FaultConfig) -> CoRunResult {
         .run()
 }
 
-fn count_action(r: &CoRunResult, pred: impl Fn(RecoveryAction) -> bool) -> usize {
+fn count_action(r: &ClusterResult, pred: impl Fn(RecoveryAction) -> bool) -> usize {
     r.recoveries.iter().filter(|e| pred(e.action)).count()
 }
 
@@ -176,7 +176,7 @@ fn poll_wheel_has_no_ghost_polls() {
 fn fault_log_records_what_fired() {
     let r = victim_pair(FaultConfig::quiet(17).with_stuck_flag(1.0));
     assert!(
-        !r.faults.is_empty(),
+        r.faults_fired > 0,
         "the device fault log should report injected faults"
     );
 }
@@ -521,7 +521,7 @@ fn same_fault_seed_replays_identically() {
             let a = corun_of(jobs, *spatial, faults_of(faults)).run();
             let b = corun_of(jobs, *spatial, faults_of(faults)).run();
             require_eq!(a.end_time, b.end_time, "end time");
-            require_eq!(a.faults.len(), b.faults.len(), "fault log length");
+            require_eq!(a.faults_fired, b.faults_fired, "fault count");
             require_eq!(a.recoveries, b.recoveries, "recovery log");
             require_eq!(a.escalations, b.escalations, "escalation histogram");
             let done_a: Vec<_> = a.jobs.iter().map(|j| j.completed).collect();

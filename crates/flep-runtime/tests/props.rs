@@ -222,7 +222,7 @@ fn quiet_fault_plan_is_invisible() {
             let plain = build(false);
             let quiet = build(true);
             require_eq!(plain.jobs, quiet.jobs);
-            require!(quiet.faults.is_empty());
+            require_eq!(quiet.faults_fired, 0);
             require!(quiet.recoveries.is_empty());
             require!(quiet.errors.is_empty());
             // `escalations[0]` counts ordinary flag-level preemptions, so

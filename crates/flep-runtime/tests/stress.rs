@@ -3,7 +3,7 @@
 //! space limit", §6.3.3), and pathological schedules.
 
 use flep_gpu_sim::GpuConfig;
-use flep_runtime::{CoRun, CoRunResult, JobSpec, KernelProfile, Policy};
+use flep_runtime::{ClusterResult, CoRun, JobSpec, KernelProfile, Policy};
 use flep_sim_core::{SimRng, SimTime};
 use flep_workloads::{Benchmark, BenchmarkId, InputClass};
 
@@ -11,7 +11,7 @@ fn profile(id: BenchmarkId, class: InputClass) -> KernelProfile {
     KernelProfile::of(&Benchmark::get(id), class)
 }
 
-fn all_complete(r: &CoRunResult) -> bool {
+fn all_complete(r: &ClusterResult) -> bool {
     r.jobs.iter().all(|j| j.completed.is_some())
 }
 

@@ -6,7 +6,7 @@
 //! shedding. Before this summary existed each test and bench counted the
 //! events it cared about by hand; [`RecoverySummary`] is the one shared
 //! tally, folded once by the producing layer and attached to its result
-//! (`CoRunResult`, `ClusterResult`, `ServeReport`).
+//! (`ClusterResult`, which `CoRun` also returns, and `ServeReport`).
 
 use flep_sim_core::json::{JsonValue, ToJson};
 

@@ -50,7 +50,7 @@ fn main() {
     let mps = run(Policy::MpsBaseline);
     let flep = run(Policy::hpf());
 
-    let report = |label: &str, r: &CoRunResult| {
+    let report = |label: &str, r: &ClusterResult| {
         let q = &r.jobs[1];
         let b = &r.jobs[0];
         println!("{label}:");
